@@ -1,15 +1,16 @@
 // Package overlay is the unified membership layer of the system: one
 // implementation of the NEWSCAST partial-view protocol (paper §4.4)
-// behind a single Membership API, shared by the serial simulator, the
-// sharded simulator and the live agent runtime.
+// shared by the serial simulator, the sharded simulator and the live
+// agent runtime. A Table holds the engines' N views; a Membership is a
+// live node's standalone view. Both run the same merge kernel.
 //
-// The canonical representation is a flat, allocation-free packed cache
-// (lifted out of the sharded engine, where it was ~5× faster per
-// exchange than the earlier generic comparator-sorted cache): every
-// descriptor is one uint64, (^stamp)<<32 | key, so that ascending
-// primitive order is "freshest first, key ascending on ties". One
-// primitive sort per merge replaces the comparator sorts that dominated
-// whole-simulation profiles.
+// The canonical representation is a flat, allocation-free packed cache:
+// every descriptor is one uint64, (^stamp)<<32 | key, so that ascending
+// primitive order is "freshest first, key ascending on ties", and every
+// view is kept in that order. A merge is therefore a linear merge of
+// already-sorted views that stops once it has enough distinct keys;
+// duplicate keys are caught by a small open-addressed key set, and no
+// merge sorts anything.
 //
 // Determinism contract: a merge keeps the cap freshest distinct keys of
 // the union of both views plus both fresh self-descriptors, excluding
@@ -24,6 +25,8 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"antientropy/internal/stats"
@@ -56,24 +59,72 @@ func UnpackKey(e uint64) int32 { return int32(uint32(e)) }
 // UnpackStamp extracts the stamp of a packed descriptor.
 func UnpackStamp(e uint64) int32 { return int32(^uint32(e >> 32)) }
 
+// Row is a packed view in storage order: freshest first, key ascending
+// on ties, one descriptor per key. A row from Table.Row aliases the
+// table: read it, never modify it or keep it across a merge.
+type Row []uint64
+
+// Entries returns an unpacked copy of the row, freshest first.
+func (r Row) Entries() []Entry {
+	out := make([]Entry, len(r))
+	for i, e := range r {
+		out[i] = Entry{Key: UnpackKey(e), Stamp: UnpackStamp(e)}
+	}
+	return out
+}
+
+// Stamp returns the timestamp held for key (ok = false if absent).
+func (r Row) Stamp(key int32) (int32, bool) {
+	for _, e := range r {
+		if UnpackKey(e) == key {
+			return UnpackStamp(e), true
+		}
+	}
+	return 0, false
+}
+
+// Contains reports whether the row holds a descriptor for key.
+func (r Row) Contains(key int32) bool {
+	_, ok := r.Stamp(key)
+	return ok
+}
+
+// Oldest returns the smallest stamp in the row (0, false when empty);
+// used to monitor overlay freshness and in tests of crash repair.
+func (r Row) Oldest() (int32, bool) {
+	if len(r) == 0 {
+		return 0, false
+	}
+	// Storage order is freshest first, so the minimum stamp is near the
+	// end — but equal-stamp runs sort by key, so scan the whole row.
+	min := UnpackStamp(r[0])
+	for _, e := range r[1:] {
+		if s := UnpackStamp(e); s < min {
+			min = s
+		}
+	}
+	return min, true
+}
+
 // Membership is one node's packed partial view of the network — the
-// single membership API every engine and the live agent program against.
-// It never contains the node's own descriptor and never exceeds its
+// live agent's standalone cache (engines keep all views in a Table). It
+// never contains the node's own descriptor and never exceeds its
 // capacity. Membership is not safe for concurrent use.
 type Membership struct {
 	self int32
 	cap  int
 	// entries is the full-capacity backing array; the first n slots hold
-	// the view in packed ascending order (freshest first). Rows of a
-	// Table alias its shared backing; standalone caches own theirs.
+	// the view in packed ascending order (freshest first).
 	entries []uint64
 	n       int32
-	scratch []uint64
+	// remote collects a batch merge's sorted remote half; merge is the
+	// kernel's buffer (survivors plus key set).
+	remote []uint64
+	merge  []uint64
 }
 
 // NewMembership returns an empty standalone cache of capacity c for the
-// node with the given key (the live agent's per-node instance; engines
-// use NewTable).
+// node with the given key.
 func NewMembership(self int32, c int) (*Membership, error) {
 	if c < 1 {
 		return nil, ErrBadCacheSize
@@ -93,35 +144,21 @@ func (m *Membership) Len() int { return int(m.n) }
 // Packed is the escape hatch: the live packed view, freshest first, key
 // ascending on ties. The slice aliases the cache — callers must not
 // modify it and must not retain it across mutations. It is what the
-// engines' exchange loops and the agent's wire encoder consume without
-// any per-call allocation.
+// agent's wire encoder consumes without any per-call allocation.
 func (m *Membership) Packed() []uint64 { return m.entries[:m.n] }
 
 // Entries returns an unpacked copy of the cached descriptors, freshest
 // first.
-func (m *Membership) Entries() []Entry {
-	out := make([]Entry, m.n)
-	for i, e := range m.Packed() {
-		out[i] = Entry{Key: UnpackKey(e), Stamp: UnpackStamp(e)}
-	}
-	return out
-}
+func (m *Membership) Entries() []Entry { return Row(m.Packed()).Entries() }
 
 // Contains reports whether the cache holds a descriptor for key.
-func (m *Membership) Contains(key int32) bool {
-	_, ok := m.Stamp(key)
-	return ok
-}
+func (m *Membership) Contains(key int32) bool { return Row(m.Packed()).Contains(key) }
 
 // Stamp returns the timestamp cached for key (ok = false if absent).
-func (m *Membership) Stamp(key int32) (int32, bool) {
-	for _, e := range m.Packed() {
-		if UnpackKey(e) == key {
-			return UnpackStamp(e), true
-		}
-	}
-	return 0, false
-}
+func (m *Membership) Stamp(key int32) (int32, bool) { return Row(m.Packed()).Stamp(key) }
+
+// Oldest returns the smallest stamp in the cache (0, false when empty).
+func (m *Membership) Oldest() (int32, bool) { return Row(m.Packed()).Oldest() }
 
 // Peer returns a uniformly random cached descriptor key, used by
 // GETNEIGHBOR of the aggregation protocol and by NEWSCAST itself. The
@@ -152,7 +189,7 @@ func (m *Membership) AppendView(dst []uint64, now int32) []uint64 {
 }
 
 // smallAbsorb is the remote-size threshold below which Absorb updates
-// the view incrementally instead of re-sorting the whole union — the
+// the view incrementally instead of merging a sorted batch — the
 // steady-state case for the live agent, whose delta frames carry a
 // handful of descriptors.
 const smallAbsorb = 8
@@ -168,13 +205,13 @@ func (m *Membership) Absorb(remote []Entry) {
 		}
 		return
 	}
-	scratch := m.scratch[:0]
+	batch := m.remote[:0]
 	for _, e := range remote {
 		if e.Key != m.self {
-			scratch = append(scratch, Pack(e.Key, e.Stamp))
+			batch = append(batch, Pack(e.Key, e.Stamp))
 		}
 	}
-	m.scratch = m.absorbScratch(scratch)
+	m.absorbBatch(batch)
 }
 
 // AbsorbPacked merges an already-packed remote view into the cache.
@@ -185,73 +222,31 @@ func (m *Membership) AbsorbPacked(remote []uint64) {
 		}
 		return
 	}
-	scratch := m.scratch[:0]
+	batch := m.remote[:0]
 	for _, e := range remote {
 		if UnpackKey(e) != m.self {
-			scratch = append(scratch, e)
+			batch = append(batch, e)
 		}
 	}
-	m.scratch = m.absorbScratch(scratch)
+	m.absorbBatch(batch)
 }
 
-// absorbOne merges a single descriptor, keeping the view sorted. It is
-// exactly the batch merge applied one candidate at a time: trimming to
-// cap only ever drops the current stalest survivor and later candidates
-// only raise the bar, so the sequential result equals the batch top-cap
-// of the union.
+// absorbOne merges a single descriptor, keeping the view sorted.
 func (m *Membership) absorbOne(e uint64) {
-	key := UnpackKey(e)
-	if key == m.self {
-		return
-	}
-	for i, x := range m.Packed() {
-		if UnpackKey(x) != key {
-			continue
-		}
-		if x <= e {
-			return // cached descriptor is at least as fresh
-		}
-		copy(m.entries[i:m.n-1], m.entries[i+1:m.n])
-		m.n--
-		break
-	}
-	at, _ := slices.BinarySearch(m.entries[:m.n], e)
-	if at == m.cap {
-		return // staler than a full view's every entry
-	}
-	if int(m.n) < m.cap {
-		m.n++
-	}
-	copy(m.entries[at+1:m.n], m.entries[at:m.n-1])
-	m.entries[at] = e
+	m.n = int32(insert(m.entries, int(m.n), m.self, e))
 }
 
-// absorbScratch completes a merge whose remote half (self already
-// filtered) sits in scratch: append the current view, sort, keep the
-// first occurrence of each key — ascending packed order makes that the
-// freshest descriptor — and write back at most cap survivors. Returns
-// the scratch buffer for reuse.
-func (m *Membership) absorbScratch(scratch []uint64) []uint64 {
-	scratch = append(scratch, m.Packed()...)
-	slices.Sort(scratch)
-	w := 0
-	for r := 0; r < len(scratch) && w < m.cap; r++ {
-		key := UnpackKey(scratch[r])
-		dup := false
-		for x := 0; x < w; x++ {
-			if UnpackKey(scratch[x]) == key {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			scratch[w] = scratch[r]
-			w++
-		}
-	}
-	copy(m.entries, scratch[:w])
-	m.n = int32(w)
-	return scratch[:0]
+// absorbBatch completes a merge whose remote half (self already
+// filtered) is batch, a buffer owned by m.remote: sort it, then merge it
+// with the current view through the package's merge kernel and install
+// the cap survivors.
+func (m *Membership) absorbBatch(batch []uint64) {
+	slices.Sort(batch)
+	var kept []uint64
+	kept, m.merge = mergeDistinct(m.merge, m.cap, batch, m.Packed(), nil)
+	copy(m.entries, kept)
+	m.n = int32(len(kept))
+	m.remote = batch[:0]
 }
 
 // Seed bootstraps the cache of a joining node from out-of-band contacts
@@ -262,60 +257,107 @@ func (m *Membership) Seed(entries []Entry) {
 	m.Absorb(entries)
 }
 
-// SeedRandom fills the view with up to size distinct random peers drawn
-// uniformly from [0, total), excluding the node itself, all stamped now —
-// the engines' warmed-up bootstrap. Like a real joiner's out-of-band
-// contact list, the sample may briefly include a dead slot; NEWSCAST
-// repairs that within a cycle or two. The rejection-sampling draw order
-// is part of the sharded engine's determinism contract — do not reorder.
-func (m *Membership) SeedRandom(size, total int, now int32, rng *stats.RNG) {
-	if size > m.cap {
-		size = m.cap
+// insert merges one descriptor into row, whose first n slots hold a view
+// in storage order and whose length is the view's capacity, and returns
+// the new view length. Applying it to candidates one at a time equals
+// the batch merge of all of them: trimming to capacity only ever drops
+// the current stalest survivor and later candidates only raise the bar,
+// so the sequential result is the batch top-cap of the union.
+func insert(row []uint64, n int, self int32, e uint64) int {
+	key := UnpackKey(e)
+	if key == self {
+		return n
 	}
-	if size < 1 {
-		m.n = 0
-		return
-	}
-	w := 0
-	for w < size {
-		c := rng.Intn(total)
-		if int32(c) == m.self {
+	for i, x := range row[:n] {
+		if UnpackKey(x) != key {
 			continue
 		}
-		dup := false
-		for x := 0; x < w; x++ {
-			if UnpackKey(m.entries[x]) == int32(c) {
-				dup = true
-				break
-			}
+		if x <= e {
+			return n // cached descriptor is at least as fresh
 		}
-		if dup {
-			continue
-		}
-		m.entries[w] = Pack(int32(c), now)
-		w++
+		copy(row[i:n-1], row[i+1:n])
+		n--
+		break
 	}
-	// Restore the freshest-first, key-ascending storage order (all
-	// stamps are equal here, so this is a key sort).
-	slices.Sort(m.entries[:w])
-	m.n = int32(w)
+	at, _ := slices.BinarySearch(row[:n], e)
+	if at == len(row) {
+		return n // staler than a full view's every entry
+	}
+	if n < len(row) {
+		n++
+	}
+	copy(row[at+1:n], row[at:n-1])
+	row[at] = e
+	return n
 }
 
-// Oldest returns the smallest stamp in the cache (0, false when empty);
-// used to monitor overlay freshness and in tests of crash repair.
-func (m *Membership) Oldest() (int32, bool) {
-	if m.n == 0 {
-		return 0, false
+// mergeDistinct is the package's merge kernel. It walks the union of the
+// packed lists a, b and c, each in storage order, in ascending order and
+// keeps the first — freshest — descriptor of every key until limit keys
+// are kept. c is meant to be short (an exchange's two self-descriptors):
+// its head is checked against every step of the a/b merge. buf holds
+// the survivors and the open-addressed key set that finds duplicates; it
+// is grown when too small and returned for reuse. The survivors alias
+// buf.
+func mergeDistinct(buf []uint64, limit int, a, b, c []uint64) (kept, _ []uint64) {
+	// A power-of-two set at most a quarter full keeps probe runs short.
+	slots := 8
+	for slots < 4*limit {
+		slots <<= 1
 	}
-	// Packed order is freshest first, so the minimum stamp is near the
-	// end — but equal-stamp runs sort by key, so scan the whole view.
-	min := UnpackStamp(m.entries[0])
-	for _, e := range m.entries[1:m.n] {
-		if s := UnpackStamp(e); s < min {
-			min = s
+	if cap(buf) < slots+limit {
+		buf = make([]uint64, slots+limit)
+	}
+	buf = buf[:slots+limit]
+	set := buf[:slots]
+	clear(set)
+	shift := 32 - bits.TrailingZeros(uint(slots))
+	mask := uint32(slots - 1)
+	out := buf[slots:]
+	n := 0
+	// An exhausted list reads as the largest packed value. Should a real
+	// descriptor equal it, either pick yields that same value, so the
+	// output is unchanged; rem bounds the walk either way.
+	ia, ib, ic := 0, 0, 0
+	for rem := len(a) + len(b) + len(c); n < limit && rem > 0; rem-- {
+		x, y := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		if ia < len(a) {
+			x = a[ia]
 		}
+		if ib < len(b) {
+			y = b[ib]
+		}
+		// Branch-free pick of the smaller head: which list wins is
+		// data-dependent and would mispredict about half the time.
+		fromA := 0
+		if x <= y {
+			fromA = 1
+		}
+		e := y ^ (x^y)&-uint64(fromA)
+		if ic < len(c) && c[ic] < e {
+			e = c[ic]
+			ic++
+		} else {
+			ia += fromA
+			ib += 1 - fromA
+		}
+		// Slots hold key+1 so that zero marks an empty slot. The common
+		// case — the first probe finds e's key or an empty slot — also
+		// runs without a data-dependent branch.
+		k := uint64(uint32(e)) + 1
+		h := uint32(e) * 0x9E3779B1 >> shift
+		for set[h] != 0 && set[h] != k {
+			h = (h + 1) & mask
+		}
+		fresh := 0
+		if set[h] == 0 {
+			fresh = 1
+		}
+		set[h] = k
+		out[n] = e
+		n += fresh
 	}
-	return min, true
+	return out[:n], buf
 }
 
 // Exchange performs one full NEWSCAST exchange between two live nodes at
@@ -329,12 +371,13 @@ func Exchange(a, b *Membership, now int32) {
 	b.AbsorbPacked(va)
 }
 
-// Table is a flat array of N packed views sharing one backing slice —
-// the engines' representation. Row i is node i's Membership with
-// self = i; a 10⁶-node table is two allocations.
+// Table holds N packed views densely — the engines' representation.
+// Row i is node i's view (self = i): its descriptors sit at the front
+// of backing[i*cap:(i+1)*cap] and its length in lens[i], so a 10⁶-node
+// table is two allocations and reading a row touches no per-row header.
 type Table struct {
 	cap     int
-	rows    []Membership
+	lens    []int32
 	backing []uint64
 }
 
@@ -346,72 +389,107 @@ func NewTable(n, c int) (*Table, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("overlay: invalid table size %d", n)
 	}
-	t := &Table{
-		cap:     c,
-		rows:    make([]Membership, n),
-		backing: make([]uint64, n*c),
-	}
-	for i := range t.rows {
-		t.rows[i] = Membership{
-			self:    int32(i),
-			cap:     c,
-			entries: t.backing[i*c : (i+1)*c : (i+1)*c],
-		}
-	}
-	return t, nil
+	return &Table{cap: c, lens: make([]int32, n), backing: make([]uint64, n*c)}, nil
 }
 
 // N returns the number of views.
-func (t *Table) N() int { return len(t.rows) }
+func (t *Table) N() int { return len(t.lens) }
 
 // Cap returns the per-view capacity c.
 func (t *Table) Cap() int { return t.cap }
 
-// At returns node i's Membership. The handle is live: it reads and
-// writes the table's storage.
-func (t *Table) At(i int) *Membership { return &t.rows[i] }
+// Row returns node i's current view. It aliases the table: read it
+// before the next merge touching node i, never modify it.
+func (t *Table) Row(i int) Row {
+	lo := i * t.cap
+	return t.backing[lo : lo+int(t.lens[i])]
+}
+
+// slots returns the full-capacity storage of node i's view.
+func (t *Table) slots(i int) []uint64 {
+	lo := i * t.cap
+	return t.backing[lo : lo+t.cap]
+}
 
 // Neighbor draws a uniform member of node i's current view (-1 when the
-// view is empty) — GETNEIGHBOR on the table without the tuple return.
+// view is empty) — GETNEIGHBOR on the table.
 func (t *Table) Neighbor(i int, rng *stats.RNG) int {
-	m := &t.rows[i]
-	if m.n == 0 {
+	n := t.lens[i]
+	if n == 0 {
 		return -1
 	}
-	return int(UnpackKey(m.entries[rng.Intn(int(m.n))]))
+	return int(UnpackKey(t.backing[i*t.cap+rng.Intn(int(n))]))
+}
+
+// Seed replaces node i's view with the cap freshest distinct foreign
+// descriptors of entries — a joiner's out-of-band contacts (§4.2).
+func (t *Table) Seed(i int, entries []Entry) {
+	row := t.slots(i)
+	n := 0
+	for _, e := range entries {
+		n = insert(row, n, int32(i), Pack(e.Key, e.Stamp))
+	}
+	t.lens[i] = int32(n)
+}
+
+// SeedRandom fills node i's view with up to size distinct random peers
+// drawn uniformly from [0, total), excluding the node itself, all
+// stamped now — the engines' warmed-up bootstrap. size is clamped to the
+// capacity and to the number of distinct candidates, so the draw always
+// terminates. Like a real joiner's out-of-band contact list, the sample
+// may briefly include a dead slot; NEWSCAST repairs that within a cycle
+// or two. The rejection-sampling draw order is part of the sharded
+// engine's determinism contract — do not reorder.
+func (t *Table) SeedRandom(i, size, total int, now int32, rng *stats.RNG) {
+	candidates := total
+	if i >= 0 && i < total {
+		candidates--
+	}
+	size = min(size, t.cap, candidates)
+	if size < 1 {
+		t.lens[i] = 0
+		return
+	}
+	row := t.slots(i)
+	w := 0
+	for w < size {
+		c := rng.Intn(total)
+		if c == i {
+			continue
+		}
+		dup := false
+		for x := 0; x < w; x++ {
+			if UnpackKey(row[x]) == int32(c) {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		row[w] = Pack(int32(c), now)
+		w++
+	}
+	// Restore the freshest-first, key-ascending storage order (all
+	// stamps are equal here, so this is a key sort).
+	slices.Sort(row[:w])
+	t.lens[i] = int32(w)
 }
 
 // Exchange performs one full NEWSCAST exchange between live nodes i and
 // j at logical time cycle, using (and returning) the caller's scratch
 // buffer: both views merge the union of both views plus both fresh
 // self-descriptors and keep the freshest cap distinct keys excluding
-// their own. The union is deduplicated with a single primitive sort:
-// ascending packed order is stamp-descending, so the first occurrence of
-// a key is its freshest descriptor and the scan can stop once cap+1
-// survivors are kept.
+// their own. All three inputs are already in storage order, so the
+// kernel merges them linearly and stops at cap+1 distinct keys — enough
+// for each side to drop its own key and keep cap foreign ones.
 func (t *Table) Exchange(scratch []uint64, i, j, cycle int) []uint64 {
 	now := int32(cycle)
-	scratch = scratch[:0]
-	scratch = append(scratch, Pack(int32(i), now), Pack(int32(j), now))
-	scratch = append(scratch, t.rows[i].Packed()...)
-	scratch = append(scratch, t.rows[j].Packed()...)
-	slices.Sort(scratch)
-	w := 0
-	for r := 0; r < len(scratch) && w < t.cap+1; r++ {
-		key := UnpackKey(scratch[r])
-		dup := false
-		for x := 0; x < w; x++ {
-			if UnpackKey(scratch[x]) == key {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			scratch[w] = scratch[r]
-			w++
-		}
+	selves := [2]uint64{Pack(int32(i), now), Pack(int32(j), now)}
+	if selves[1] < selves[0] {
+		selves[0], selves[1] = selves[1], selves[0]
 	}
-	kept := scratch[:w]
+	kept, scratch := mergeDistinct(scratch, t.cap+1, t.Row(i), t.Row(j), selves[:])
 	t.writeBack(i, kept)
 	t.writeBack(j, kept)
 	return scratch
@@ -422,17 +500,17 @@ func (t *Table) Exchange(scratch []uint64, i, j, cycle int) []uint64 {
 // cap+1 freshest distinct keys of the union, dropping the node's own key
 // leaves exactly the cap freshest foreign descriptors.
 func (t *Table) writeBack(node int, kept []uint64) {
-	m := &t.rows[node]
+	row := t.slots(node)
 	w := 0
 	for _, entry := range kept {
 		if int(UnpackKey(entry)) == node {
 			continue
 		}
-		m.entries[w] = entry
+		row[w] = entry
 		w++
-		if w == t.cap {
+		if w == len(row) {
 			break
 		}
 	}
-	m.n = int32(w)
+	t.lens[node] = int32(w)
 }

@@ -79,29 +79,29 @@ func TestTableExchangeMatchesStandalone(t *testing.T) {
 	b, _ := NewMembership(1, 3)
 	seedA := []Entry{{Key: 2, Stamp: 4}, {Key: 3, Stamp: 2}, {Key: 4, Stamp: 6}}
 	seedB := []Entry{{Key: 2, Stamp: 5}, {Key: 5, Stamp: 1}, {Key: 0, Stamp: 3}}
-	tbl.At(0).Seed(seedA)
-	tbl.At(1).Seed(seedB)
+	tbl.Seed(0, seedA)
+	tbl.Seed(1, seedB)
 	a.Seed(seedA)
 	b.Seed(seedB)
 
 	tbl.Exchange(nil, 0, 1, 7)
 	Exchange(a, b, 7)
 
-	if !slices.Equal(tbl.At(0).Packed(), a.Packed()) {
-		t.Errorf("node 0: table %v vs standalone %v", tbl.At(0).Entries(), a.Entries())
+	if !slices.Equal(tbl.Row(0), a.Packed()) {
+		t.Errorf("node 0: table %v vs standalone %v", tbl.Row(0).Entries(), a.Entries())
 	}
-	if !slices.Equal(tbl.At(1).Packed(), b.Packed()) {
-		t.Errorf("node 1: table %v vs standalone %v", tbl.At(1).Entries(), b.Entries())
+	if !slices.Equal(tbl.Row(1), b.Packed()) {
+		t.Errorf("node 1: table %v vs standalone %v", tbl.Row(1).Entries(), b.Entries())
 	}
 }
 
 // TestPackedMatchesGenericOnStampTies pins the cross-engine determinism
-// contract: the packed cache (serial engine, sharded engine, live agent)
-// and the legacy generic cache (the newscast compatibility shim) must
-// produce identical merge results descriptor for descriptor — including
-// the equal-stamp cases, where ties break by ascending key. Fixtures
-// deliberately saturate the caches with one shared stamp so every
-// ordering decision is a tie-break.
+// contract: the packed table (both engines), the standalone packed cache
+// (live agent) and the legacy generic cache (the newscast compatibility
+// shim) must produce identical merge results descriptor for descriptor —
+// including the equal-stamp cases, where ties break by ascending key.
+// Fixtures deliberately saturate the caches with one shared stamp so
+// every ordering decision is a tie-break.
 func TestPackedMatchesGenericOnStampTies(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -145,6 +145,9 @@ func TestPackedMatchesGenericOnStampTies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			tbl, _ := NewTable(12, tc.cap)
+			tbl.Seed(int(tc.selfA), tc.viewA)
+			tbl.Seed(int(tc.selfB), tc.viewB)
 			pa, _ := NewMembership(tc.selfA, tc.cap)
 			pb, _ := NewMembership(tc.selfB, tc.cap)
 			pa.Seed(tc.viewA)
@@ -154,6 +157,7 @@ func TestPackedMatchesGenericOnStampTies(t *testing.T) {
 			ga.Seed(toGeneric(tc.viewA))
 			gb.Seed(toGeneric(tc.viewB))
 
+			tbl.Exchange(nil, int(tc.selfA), int(tc.selfB), int(tc.now))
 			Exchange(pa, pb, tc.now)
 			ExchangeGeneric(ga, gb, int64(tc.now))
 
@@ -161,15 +165,20 @@ func TestPackedMatchesGenericOnStampTies(t *testing.T) {
 				p *Membership
 				g *Generic[int32]
 			}{{pa, ga}, {pb, gb}} {
-				got := pair.p.Entries()
+				self := pair.p.Self()
 				want := pair.g.Entries()
-				if len(got) != len(want) {
-					t.Fatalf("node %d: packed %v vs generic %v", pair.p.Self(), got, want)
-				}
-				for i := range got {
-					if got[i].Key != want[i].Key || int64(got[i].Stamp) != want[i].Stamp {
-						t.Fatalf("node %d entry %d: packed %v vs generic %v",
-							pair.p.Self(), i, got, want)
+				for name, got := range map[string][]Entry{
+					"table":      tbl.Row(int(self)).Entries(),
+					"standalone": pair.p.Entries(),
+				} {
+					if len(got) != len(want) {
+						t.Fatalf("node %d: %s %v vs generic %v", self, name, got, want)
+					}
+					for i := range got {
+						if got[i].Key != want[i].Key || int64(got[i].Stamp) != want[i].Stamp {
+							t.Fatalf("node %d entry %d: %s %v vs generic %v",
+								self, i, name, got, want)
+						}
 					}
 				}
 			}
@@ -186,13 +195,14 @@ func toGeneric(es []Entry) []GenericEntry[int32] {
 }
 
 func TestSeedRandomDistinctAndSorted(t *testing.T) {
-	m, _ := NewMembership(3, 10)
-	m.SeedRandom(8, 20, 5, stats.NewRNG(1))
-	if m.Len() != 8 {
-		t.Fatalf("len = %d, want 8", m.Len())
+	tbl, _ := NewTable(20, 10)
+	tbl.SeedRandom(3, 8, 20, 5, stats.NewRNG(1))
+	row := tbl.Row(3)
+	if len(row) != 8 {
+		t.Fatalf("len = %d, want 8", len(row))
 	}
 	seen := map[int32]bool{}
-	for _, e := range m.Entries() {
+	for _, e := range row.Entries() {
 		if e.Key == 3 {
 			t.Fatal("seeded with self")
 		}
@@ -204,8 +214,22 @@ func TestSeedRandomDistinctAndSorted(t *testing.T) {
 		}
 		seen[e.Key] = true
 	}
-	if !slices.IsSorted(m.Packed()) {
+	if !slices.IsSorted(row) {
 		t.Fatal("packed view not in storage order")
+	}
+}
+
+// TestSeedRandomClampsToCandidates asks for more distinct peers than
+// the slot space holds; the draw must stop at every other slot instead
+// of rejection-sampling forever.
+func TestSeedRandomClampsToCandidates(t *testing.T) {
+	for _, tc := range []struct{ total, want int }{{1, 0}, {2, 1}, {4, 3}} {
+		tbl, _ := NewTable(tc.total, 8)
+		tbl.SeedRandom(0, 8, tc.total, 2, stats.NewRNG(9))
+		row := tbl.Row(0)
+		if len(row) != tc.want || row.Contains(0) {
+			t.Fatalf("total %d: seeded %v, want %d foreign peers", tc.total, row.Entries(), tc.want)
+		}
 	}
 }
 
@@ -289,6 +313,197 @@ func TestSmallAbsorbMatchesBatch(t *testing.T) {
 		if !slices.Equal(fast.Packed(), slow.Packed()) {
 			t.Fatalf("trial %d: cap=%d seed=%v remote=%v\n fast=%v\n slow=%v",
 				trial, cap, seed, remote, fast.Entries(), slow.Entries())
+		}
+	}
+}
+
+// oracleExchange is the reference merge the packed table used before
+// the linear merge kernel: collect both rows and both fresh
+// self-descriptors, sort the whole union, keep the first occurrence of
+// each key with a quadratic scan until cap+1 survive, and write the
+// survivors back minus each node's own key. It works on the same flat
+// layout as Table (row i at backing[i*c:], its length in lens[i]).
+func oracleExchange(backing []uint64, lens []int32, c, i, j, cycle int) {
+	now := int32(cycle)
+	scratch := []uint64{Pack(int32(i), now), Pack(int32(j), now)}
+	scratch = append(scratch, backing[i*c:i*c+int(lens[i])]...)
+	scratch = append(scratch, backing[j*c:j*c+int(lens[j])]...)
+	slices.Sort(scratch)
+	w := 0
+	for r := 0; r < len(scratch) && w < c+1; r++ {
+		key := UnpackKey(scratch[r])
+		dup := false
+		for x := 0; x < w; x++ {
+			if UnpackKey(scratch[x]) == key {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			scratch[w] = scratch[r]
+			w++
+		}
+	}
+	for _, node := range []int{i, j} {
+		n := 0
+		for _, e := range scratch[:w] {
+			if int(UnpackKey(e)) == node {
+				continue
+			}
+			backing[node*c+n] = e
+			n++
+			if n == c {
+				break
+			}
+		}
+		lens[node] = int32(n)
+	}
+}
+
+// oracleAbsorb is the reference batch absorb: the sorted union of the
+// remote descriptors (self dropped) and the view, first occurrence of
+// each key, at most c survivors.
+func oracleAbsorb(view []uint64, self int32, c int, remote []uint64) []uint64 {
+	var union []uint64
+	for _, e := range remote {
+		if UnpackKey(e) != self {
+			union = append(union, e)
+		}
+	}
+	union = append(union, view...)
+	slices.Sort(union)
+	var out []uint64
+	for _, e := range union {
+		if len(out) == c {
+			break
+		}
+		if !slices.ContainsFunc(out, func(x uint64) bool { return UnpackKey(x) == UnpackKey(e) }) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestMergeKernelMatchesOracle drives random tables through many
+// exchanges and compares the merge kernel with the sort-and-scan
+// oracle, slot for slot: backing arrays (stale slots past each row's
+// length included) and lengths must be identical. Stamps advance
+// slowly, so rows hold many equal stamps that tie with the fresh
+// self-descriptors, and exchanging nodes usually know each other, so
+// each side's own key is in the peer's row.
+func TestMergeKernelMatchesOracle(t *testing.T) {
+	rng := stats.NewRNG(7)
+	for _, c := range []int{1, 2, 3, 5, 8, 30, 31, 64} {
+		for _, n := range []int{c + 2, 3 * c, 200} {
+			tbl, _ := NewTable(n, c)
+			for i := 0; i < n; i++ {
+				entries := make([]Entry, rng.Intn(2*c+1))
+				for k := range entries {
+					entries[k] = Entry{Key: int32(rng.Intn(n)), Stamp: int32(rng.Intn(3))}
+				}
+				tbl.Seed(i, entries)
+			}
+			backing := slices.Clone(tbl.backing)
+			lens := slices.Clone(tbl.lens)
+			var scratch []uint64
+			cycle := 3
+			for x := 0; x < 40*n; x++ {
+				if rng.Intn(4) == 0 {
+					cycle++
+				}
+				i := rng.Intn(n)
+				j := tbl.Neighbor(i, rng)
+				if j < 0 || rng.Intn(8) == 0 {
+					if j = rng.Intn(n); j == i {
+						continue
+					}
+				}
+				scratch = tbl.Exchange(scratch, i, j, cycle)
+				oracleExchange(backing, lens, c, i, j, cycle)
+				if !slices.Equal(tbl.backing, backing) || !slices.Equal(tbl.lens, lens) {
+					t.Fatalf("c=%d n=%d exchange %d (%d<->%d at %d):\n row i %v vs oracle %v\n row j %v vs oracle %v",
+						c, n, x, i, j, cycle,
+						tbl.Row(i).Entries(), Row(backing[i*c:i*c+int(lens[i])]).Entries(),
+						tbl.Row(j).Entries(), Row(backing[j*c:j*c+int(lens[j])]).Entries())
+				}
+			}
+		}
+	}
+}
+
+// TestAbsorbMatchesOracle pins the standalone cache's batch path (and
+// its incremental path) against the sort-and-scan oracle.
+func TestAbsorbMatchesOracle(t *testing.T) {
+	rng := stats.NewRNG(11)
+	for _, c := range []int{1, 2, 3, 5, 30, 64} {
+		m, _ := NewMembership(4, c)
+		for trial := 0; trial < 500; trial++ {
+			remote := make([]uint64, rng.Intn(2*c+12))
+			for k := range remote {
+				remote[k] = Pack(int32(rng.Intn(2*c+6)), int32(trial/8+rng.Intn(3)))
+			}
+			want := oracleAbsorb(m.Packed(), 4, c, remote)
+			m.AbsorbPacked(remote)
+			if !slices.Equal(m.Packed(), want) {
+				t.Fatalf("c=%d trial %d: absorb %v\n got  %v\n want %v",
+					c, trial, Row(remote).Entries(), m.Entries(), Row(want).Entries())
+			}
+		}
+	}
+}
+
+// benchTable is a warmed-up engine-sized table: 5·10⁴ views of the
+// paper's c = 30, seeded like the engines and gossiped for a few cycles
+// so rows hold mixed stamps.
+func benchTable(b *testing.B) (*Table, *stats.RNG) {
+	b.Helper()
+	const n = 50000
+	tbl, err := NewTable(n, DefaultCacheSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(1)
+	for i := 0; i < n; i++ {
+		tbl.SeedRandom(i, DefaultCacheSize, n, 0, rng)
+	}
+	var scratch []uint64
+	for cycle := 1; cycle <= 5; cycle++ {
+		for i := 0; i < n; i++ {
+			scratch = tbl.Exchange(scratch, i, tbl.Neighbor(i, rng), cycle)
+		}
+	}
+	return tbl, rng
+}
+
+// BenchmarkTableExchange times one NEWSCAST exchange on an engine-sized
+// table: node i (in sweep order) with a uniform member of its view.
+// Choosing the peer costs one Neighbor call, measured on its own by
+// BenchmarkTableNeighbor.
+func BenchmarkTableExchange(b *testing.B) {
+	tbl, rng := benchTable(b)
+	var scratch []uint64
+	n, cycle, i := tbl.N(), 6, 0
+	b.ReportAllocs()
+	for b.Loop() {
+		scratch = tbl.Exchange(scratch, i, tbl.Neighbor(i, rng), cycle)
+		if i++; i == n {
+			i, cycle = 0, cycle+1
+		}
+	}
+}
+
+// BenchmarkTableNeighbor times GETNEIGHBOR on an engine-sized table,
+// sweeping the nodes in a shuffled order like an engine cycle.
+func BenchmarkTableNeighbor(b *testing.B) {
+	tbl, rng := benchTable(b)
+	perm := make([]int, tbl.N())
+	rng.Perm(perm)
+	k := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		tbl.Neighbor(perm[k], rng)
+		if k++; k == len(perm) {
+			k = 0
 		}
 	}
 }

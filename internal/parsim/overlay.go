@@ -58,7 +58,7 @@ func (sp newscastSpec) build(e *Engine) (overlayImpl, error) {
 	// build parallelizes like a cycle does.
 	e.parallel(func(s *shard) {
 		for i := s.lo; i < s.hi; i++ {
-			t.At(i).SeedRandom(o.bootstrapSize, e.nodes, 0, s.rng)
+			t.SeedRandom(i, o.bootstrapSize, e.nodes, 0, s.rng)
 		}
 	})
 	return o, nil
@@ -129,7 +129,7 @@ func (o *shardedNewscast) flushCross(cycle int) {
 // a joiner may briefly hold a dead contact — NEWSCAST repairs that
 // within a cycle or two.
 func (o *shardedNewscast) onJoin(node, cycle int, rng *stats.RNG) {
-	o.t.At(node).SeedRandom(o.bootstrapSize, o.e.nodes, int32(cycle), rng)
+	o.t.SeedRandom(node, o.bootstrapSize, o.e.nodes, int32(cycle), rng)
 }
 
 // CompleteLive selects the fully connected overlay over the live

@@ -314,3 +314,41 @@ func TestAPICombinerInstanceConverges(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestAPICountEstimateWithoutReporters reads a COUNT instance in which
+// no node holds an estimate — the state of an epoch that elected no
+// leader — over HTTP. The spread is then +Inf, which JSON cannot carry:
+// the body must still be well-formed, with ok false and rel_spread null.
+func TestAPICountEstimateWithoutReporters(t *testing.T) {
+	api, reg, _ := newTestAPI(t, nil, nil)
+	create := `{"name":"size","function":"count","fleet_size":4,"epoch_ms":100}`
+	if w := doJSON(t, api, "POST", "/v1/instances", create, nil); w.Code != http.StatusCreated {
+		t.Fatalf("create = %d (body %s)", w.Code, w.Body.String())
+	}
+	inst, err := reg.Get("size")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap in a fleet without nodes, so no node reports.
+	inst.primary.stop()
+	inst.primary = &fleet{}
+
+	w := doJSON(t, api, "GET", "/v1/instances/size/estimate", "", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("estimate = %d (body %s)", w.Code, w.Body.String())
+	}
+	var body map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatalf("estimate body %q is not JSON: %v", w.Body.String(), err)
+	}
+	if ok, present := body["ok"]; !present || ok != false {
+		t.Errorf("ok = %v, want false", ok)
+	}
+	if spread, present := body["rel_spread"]; !present || spread != nil {
+		t.Errorf("rel_spread = %v (present %v), want null", spread, present)
+	}
+	var est Estimate
+	if err := json.Unmarshal(w.Body.Bytes(), &est); err != nil || est.OK || est.Name != "size" {
+		t.Fatalf("decoded estimate %+v (err %v)", est, err)
+	}
+}

@@ -17,6 +17,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -651,7 +652,8 @@ type Estimate struct {
 	// RelSpread is the dispersion of per-node estimates relative to
 	// their mean — the paper's variance-reduction measure applied as a
 	// convergence signal; Confidence is 1 bounded away by the spread,
-	// and Converged reports spread below the serving threshold.
+	// and Converged reports spread below the serving threshold. With no
+	// reporting node the spread is +Inf, encoded in JSON as null.
 	RelSpread  float64 `json:"rel_spread"`
 	Confidence float64 `json:"confidence"`
 	Converged  bool    `json:"converged"`
@@ -665,6 +667,21 @@ type Estimate struct {
 	// the age of the newest sealed epoch output.
 	FeedLagSeconds   float64 `json:"feed_lag_seconds"`
 	StalenessSeconds float64 `json:"staleness_seconds"`
+}
+
+// MarshalJSON encodes the estimate, writing a non-finite RelSpread (no
+// node reporting) as null: JSON has no infinity, and encoding/json
+// would otherwise fail after the response status is already sent.
+func (e Estimate) MarshalJSON() ([]byte, error) {
+	type plain Estimate
+	out := struct {
+		plain
+		RelSpread *float64 `json:"rel_spread"`
+	}{plain: plain(e)}
+	if !math.IsInf(e.RelSpread, 0) && !math.IsNaN(e.RelSpread) {
+		out.RelSpread = &e.RelSpread
+	}
+	return json.Marshal(out)
 }
 
 // convergedSpread is the RelSpread below which an estimate is served

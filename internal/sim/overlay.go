@@ -156,7 +156,6 @@ func Newscast(c int) OverlayBuilder {
 			alive:         ctx.Alive,
 			rng:           ctx.RNG,
 			perm:          make([]int, ctx.N),
-			scratch:       make([]uint64, 0, 2*c+2),
 			bootstrapSize: min(c, ctx.N-1),
 		}
 		// Seeding keeps the historical sample-without-replacement draws
@@ -169,7 +168,7 @@ func Newscast(c int) OverlayBuilder {
 			for j, v := range seedBuf {
 				entries[j] = overlay.Entry{Key: int32(v), Stamp: 0}
 			}
-			t.At(i).Seed(entries)
+			t.Seed(i, entries)
 		}
 		return o, nil
 	}
@@ -230,13 +229,13 @@ func (o *NewscastOverlay) OnJoin(node int, cycle int) {
 	for j, v := range buf {
 		entries[j] = overlay.Entry{Key: int32(v), Stamp: int32(cycle)}
 	}
-	o.t.At(node).Seed(entries)
+	o.t.Seed(node, entries)
 }
 
 // Cache exposes a node's NEWSCAST membership view for inspection in
 // tests and overlay-quality experiments.
-func (o *NewscastOverlay) Cache(node int) *overlay.Membership {
-	return o.t.At(node)
+func (o *NewscastOverlay) Cache(node int) overlay.Row {
+	return o.t.Row(node)
 }
 
 // frozenNewscast is the A3 ablation overlay: NEWSCAST caches are

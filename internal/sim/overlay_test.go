@@ -57,8 +57,8 @@ func TestNewscastOverlayBootstraps(t *testing.T) {
 		t.Fatal("builder returned wrong type")
 	}
 	for i := 0; i < 100; i++ {
-		if ns.Cache(i).Len() != 20 {
-			t.Fatalf("node %d bootstrapped with %d entries, want 20", i, ns.Cache(i).Len())
+		if len(ns.Cache(i)) != 20 {
+			t.Fatalf("node %d bootstrapped with %d entries, want 20", i, len(ns.Cache(i)))
 		}
 		if ns.Cache(i).Contains(int32(i)) {
 			t.Fatalf("node %d knows itself", i)
@@ -74,8 +74,8 @@ func TestNewscastOverlaySmallNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns := ov.(*NewscastOverlay)
-	if ns.Cache(0).Len() != 2 {
-		t.Fatalf("bootstrap len = %d, want 2", ns.Cache(0).Len())
+	if len(ns.Cache(0)) != 2 {
+		t.Fatalf("bootstrap len = %d, want 2", len(ns.Cache(0)))
 	}
 }
 

@@ -159,6 +159,57 @@ func TestMuxEndpointClose(t *testing.T) {
 	}
 }
 
+// TestMuxHandlerSendDuringClose replies from inside a handler while
+// Close is waiting for that handler to return: the reply must fail fast
+// with ErrClosed instead of queueing behind Close, which would deadlock
+// both.
+func TestMuxHandlerSendDuringClose(t *testing.T) {
+	m := newTestMux(t, UDPMuxConfig{Sockets: 1})
+	a, b := muxEndpoint(t, m), muxEndpoint(t, m)
+
+	inHandler := make(chan struct{})
+	replied := make(chan error, 1)
+	var once sync.Once
+	b.SetHandler(func(p Packet) {
+		from := p.From
+		p.Release()
+		first := false
+		once.Do(func() { first = true })
+		if !first {
+			return
+		}
+		close(inHandler)
+		// A pending writer makes TryRLock fail: spin until Close is
+		// blocked on the write side, then reply.
+		for b.hmu.TryRLock() {
+			b.hmu.RUnlock()
+			runtime.Gosched()
+		}
+		replied <- b.Send(from, []byte("reply"))
+	})
+	if err := a.Send(b.Addr(), []byte("ping")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	select {
+	case <-inHandler:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never ran")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close deadlocked behind a handler calling Send")
+	}
+	if err := <-replied; !errors.Is(err, ErrClosed) {
+		t.Fatalf("reply during Close = %v, want ErrClosed", err)
+	}
+}
+
 func TestMuxCloseAll(t *testing.T) {
 	m, err := NewUDPMux(UDPMuxConfig{Sockets: 2})
 	if err != nil {
